@@ -31,11 +31,10 @@ type allocBudget struct {
 	Headroom float64 `json:"headroom"`
 }
 
-// allocSlice runs the gate's fixed workload — one fig9-shaped slice per
-// variant — and returns (events, bytes, mallocs). The workload is
-// deterministic; only the measurement varies (by goroutine scheduling of
-// the runtime itself), which the headroom absorbs.
-func allocSlice(tb testing.TB) (events, bytes, mallocs int64) {
+// gateSlice builds the gates' fixed workload — one fig9-shaped slice per
+// variant — and returns a func that runs it once and reports the simulated
+// events. The workload is deterministic; only the measurement varies.
+func gateSlice(tb testing.TB) func() int64 {
 	tb.Helper()
 	var stats RunStats
 	opts := Options{Seed: 1, Requests: 1200, MaxTime: 5_000_000, Parallelism: 1, Stats: &stats}
@@ -43,20 +42,31 @@ func allocSlice(tb testing.TB) (events, bytes, mallocs int64) {
 		{Cfg: figureConfig(protocol.RingToken, 64), Gen: workload.Poisson{N: 64, MeanGap: 10}},
 		{Cfg: figureConfig(protocol.BinarySearch, 64), Gen: workload.Poisson{N: 64, MeanGap: 10}},
 	}
+	return func() int64 {
+		before := stats.SimEvents.Load()
+		if _, err := opts.runner().RunJobs(opts, jobs); err != nil {
+			tb.Fatal(err)
+		}
+		events := stats.SimEvents.Load() - before
+		if events == 0 {
+			tb.Fatal("gate workload executed no events")
+		}
+		return events
+	}
+}
 
+// allocSlice runs the gate's fixed workload once and returns (events,
+// bytes, mallocs); the headroom absorbs the allocation noise of the
+// runtime itself (goroutine scheduling, GC metadata).
+func allocSlice(tb testing.TB) (events, bytes, mallocs int64) {
+	tb.Helper()
+	run := gateSlice(tb)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := opts.runner().RunJobs(opts, jobs); err != nil {
-		tb.Fatal(err)
-	}
+	events = run()
 	runtime.ReadMemStats(&after)
-
-	snap := stats.Snapshot()
-	if snap.SimEvents == 0 {
-		tb.Fatal("alloc gate workload executed no events")
-	}
-	return snap.SimEvents,
+	return events,
 		int64(after.TotalAlloc - before.TotalAlloc),
 		int64(after.Mallocs - before.Mallocs)
 }

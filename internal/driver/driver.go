@@ -237,7 +237,7 @@ func New(cfg protocol.Config, opts Options) (*Runner, error) {
 type simNetwork struct{ r *Runner }
 
 // Deliver implements host.Network.
-func (n simNetwork) Deliver(m protocol.Message, extra sim.Time) {
+func (n simNetwork) Deliver(m *protocol.Message, extra sim.Time) {
 	r := n.r
 	if m.Kind.Expensive() {
 		r.inFlightToken++
@@ -259,9 +259,9 @@ func (n simNetwork) Deliver(m protocol.Message, extra sim.Time) {
 // deliverGate queues the whole arrival — including the in-flight
 // accounting — if the destination is paused, so a token stuck at a paused
 // node keeps counting as in flight. Crashed endpoints swallow traffic.
-func (r *Runner) deliverGate(m protocol.Message) bool {
+func (r *Runner) deliverGate(m *protocol.Message) bool {
 	if r.paused.Get(m.To) && !r.dead.Get(m.To) {
-		r.park(m.To, heldItem{kind: heldArrive, msg: m})
+		r.park(m.To, heldItem{kind: heldArrive, msg: *m})
 		return false
 	}
 	if m.Kind.Expensive() {
@@ -408,10 +408,11 @@ func (r *Runner) Pause(at sim.Time, node int, dur sim.Time) error {
 		q := r.held[node]
 		delete(r.held, node)
 		r.heldN -= len(q)
-		for _, it := range q {
+		for i := range q {
+			it := &q[i]
 			switch it.kind {
 			case heldArrive:
-				r.host.Arrive(it.msg)
+				r.host.Arrive(&it.msg)
 			case heldTimer:
 				r.host.FireTimer(it.node, it.tm)
 			case heldRelease:

@@ -5,6 +5,7 @@ import (
 
 	"adaptivetoken/internal/protocol"
 	"adaptivetoken/internal/sim"
+	"adaptivetoken/internal/transport"
 )
 
 // stubClock is a manual clock with the typed-timer fast path; armed timers
@@ -22,13 +23,17 @@ type captureNet struct {
 	ok   bool
 }
 
-func (n *captureNet) Deliver(m protocol.Message, extra sim.Time) {
-	n.last, n.ok = m, true
+func (n *captureNet) Deliver(m *protocol.Message, extra sim.Time) {
+	n.last, n.ok = *m, true
 }
 
 // TestArriveFastPathZeroAlloc pins the observer-off contract the telemetry
 // subsystem must not regress: with a nil Observer (no tracer attached),
 // steady-state token circulation through Host.Arrive allocates nothing.
+// The message arrives from where real callers keep it — the engine's
+// delivery slot, or a live node's decoded envelope — and a deliver gate is
+// installed, as the simulation driver installs one: the pointer passed to
+// the gate's func value must not force a per-hop copy onto the heap.
 func TestArriveFastPathZeroAlloc(t *testing.T) {
 	const n = 4
 	cfg := protocol.Config{Variant: protocol.RingToken, N: n}
@@ -42,10 +47,15 @@ func TestArriveFastPathZeroAlloc(t *testing.T) {
 	}
 	clk := &stubClock{}
 	net := &captureNet{}
+	gated := 0
 	h, err := New(Config{
 		Clock:   clk,
 		Network: net,
 		Machine: func(id int) *protocol.Node { return nodes[id] },
+		Hooks: Hooks{DeliverGate: func(m *protocol.Message) bool {
+			gated++
+			return m.To >= 0
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +66,14 @@ func TestArriveFastPathZeroAlloc(t *testing.T) {
 	if !net.ok {
 		t.Fatal("bootstrap produced no token pass")
 	}
+	// env is the decoded envelope a live node hands to Arrive; its
+	// message lives on the heap, as the engine's delivery slot does.
+	env := transport.Envelope{Proto: new(protocol.Message)}
 	hop := func() {
-		m := net.last
+		*env.Proto = net.last
 		net.ok = false
 		clk.now++
-		h.Arrive(m)
+		h.Arrive(env.Proto)
 		if !net.ok {
 			t.Fatal("token circulation stalled")
 		}
@@ -72,5 +85,8 @@ func TestArriveFastPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { hop() })
 	if allocs != 0 {
 		t.Fatalf("observer-off Arrive fast path allocates %.1f/op, want 0", allocs)
+	}
+	if gated == 0 {
+		t.Fatal("deliver gate never ran")
 	}
 }

@@ -36,12 +36,13 @@ type Clock interface {
 	AfterFunc(d sim.Time, fn func())
 }
 
-// Network abstracts physical message delivery. Deliver ships one copy of m
-// with extra fault-injected delay on top of the network's own delivery
+// Network abstracts physical message delivery. Deliver ships one copy of
+// *m with extra fault-injected delay on top of the network's own delivery
 // cost; the host calls it once per physical copy (twice for a duplicated
-// message).
+// message). m is valid only for the call: a network copies the message
+// into whatever it queues.
 type Network interface {
-	Deliver(m protocol.Message, extra sim.Time)
+	Deliver(m *protocol.Message, extra sim.Time)
 }
 
 // TimerScheduler is the allocation-free timer path: a Clock that also
@@ -73,8 +74,9 @@ type Hooks struct {
 	TimerGate func(id int, tm protocol.Timer) bool
 	// DeliverGate runs before an arrived message reaches the state
 	// machine, with the same swallow/record-and-retry contract as
-	// TimerGate (re-enter via Host.Arrive).
-	DeliverGate func(m protocol.Message) bool
+	// TimerGate (re-enter via Host.Arrive). m is valid only for the call;
+	// a gate that records the arrival copies *m.
+	DeliverGate func(m *protocol.Message) bool
 	// Applied runs after a step's effects are fully interpreted
 	// (invariant checking).
 	Applied func(id int)
@@ -181,8 +183,8 @@ func (h *Host) Apply(id int, e protocol.Effects) {
 	if e.Granted && h.hooks.Granted != nil {
 		h.hooks.Granted(id)
 	}
-	for _, m := range e.Msgs {
-		h.Dispatch(m)
+	for i := range e.Msgs {
+		h.Dispatch(&e.Msgs[i])
 	}
 	for _, tm := range e.Timers {
 		if h.timerSched != nil {
@@ -201,8 +203,9 @@ func (h *Host) Apply(id int, e protocol.Effects) {
 
 // Dispatch sends one message through the fault injector and on to the
 // network. All loss/duplication/jitter decisions go through the injector,
-// one code path for simulated and live runs alike.
-func (h *Host) Dispatch(m protocol.Message) {
+// one code path for simulated and live runs alike. The message is passed
+// along by pointer; the network makes the copy it queues.
+func (h *Host) Dispatch(m *protocol.Message) {
 	if h.hooks.Condemned != nil && h.hooks.Condemned() {
 		return
 	}
@@ -210,27 +213,30 @@ func (h *Host) Dispatch(m protocol.Message) {
 	v := h.faults.OnMessage(m.Kind.Expensive())
 	if v.Drop {
 		h.msgs.IncDropped()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDrop, Msg: m})
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDrop, Msg: *m})
 		return
 	}
 	if v.Dup {
 		h.msgs.IncDuplicated()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDup, Msg: m, Delay: v.DupDelay})
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDup, Msg: *m, Delay: v.DupDelay})
 		h.net.Deliver(m, v.DupDelay)
 	}
 	if v.Delay > 0 {
 		h.msgs.IncDelayed()
-		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDelay, Msg: m, Delay: v.Delay})
+		h.EmitFault(FaultEvent{At: h.clock.Now(), Kind: FaultDelay, Msg: *m, Delay: v.Delay})
 	}
 	h.net.Deliver(m, v.Delay)
 }
 
 // Arrive processes one physical delivery: it runs the deliver gate, hands
-// the message to the destination state machine, and steps the result. With
-// no observer attached it runs the zero-allocation fast path: the state
+// the message to the destination state machine, and steps the result. m is
+// read in place — the engine's delivery slot in simulation, the decoded
+// envelope on a live node — and must stay valid for the call. With no
+// observer attached it runs the zero-allocation fast path: the state
 // machine appends into the host's reset-and-reused scratch buffer and no
-// Step record is built.
-func (h *Host) Arrive(m protocol.Message) {
+// Step record is built. An observer may keep the Step it is shown, so that
+// path hands it a private copy of the message.
+func (h *Host) Arrive(m *protocol.Message) {
 	if h.hooks.DeliverGate != nil && !h.hooks.DeliverGate(m) {
 		return
 	}
@@ -243,9 +249,10 @@ func (h *Host) Arrive(m protocol.Message) {
 		h.applying = false
 		return
 	}
-	eff := h.machine(m.To).HandleMessage(protocol.Time(now), m)
-	mc := m
-	h.Step(Step{At: now, Kind: StepDeliver, Node: m.To, Msg: &mc}, eff)
+	mc := *m
+	var eff protocol.Effects
+	h.machine(mc.To).HandleMessageInto(protocol.Time(now), &mc, &eff)
+	h.Step(Step{At: now, Kind: StepDeliver, Node: mc.To, Msg: &mc}, eff)
 }
 
 // FireTimer runs one armed timer at node id through the timer gate and the

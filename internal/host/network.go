@@ -20,18 +20,20 @@ func NewEndpointNetwork(ep transport.Endpoint, clock Clock) *EndpointNetwork {
 	return &EndpointNetwork{ep: ep, clock: clock}
 }
 
-// Deliver implements Network.
-func (n *EndpointNetwork) Deliver(m protocol.Message, extra sim.Time) {
+// Deliver implements Network. The envelope needs a message of its own —
+// *m is only valid for the call, and a delayed send outlives it — so this
+// is where the live path makes its one copy.
+func (n *EndpointNetwork) Deliver(m *protocol.Message, extra sim.Time) {
+	mc := *m
 	if extra <= 0 {
-		n.send(m)
+		n.send(&mc)
 		return
 	}
-	n.clock.AfterFunc(extra, func() { n.send(m) })
+	n.clock.AfterFunc(extra, func() { n.send(&mc) })
 }
 
-func (n *EndpointNetwork) send(m protocol.Message) {
-	mc := m
+func (n *EndpointNetwork) send(m *protocol.Message) {
 	// Unreachable peer: protocol-level timeouts (research, recovery)
 	// repair the damage; nothing to do here.
-	_ = n.ep.Send(transport.Envelope{To: m.To, Proto: &mc})
+	_ = n.ep.Send(transport.Envelope{To: m.To, Proto: m})
 }

@@ -326,7 +326,7 @@ func (r *Runtime) recvLoop() {
 				r.mu.Unlock()
 				return
 			}
-			r.host.Arrive(*env.Proto)
+			r.host.Arrive(env.Proto)
 			r.mu.Unlock()
 		case env.App != nil:
 			r.mu.Lock()

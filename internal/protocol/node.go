@@ -19,16 +19,29 @@ type Node struct {
 	id  int
 	rg  ring.Ring
 
-	// Token possession.
-	hasToken bool
+	// The node's flags share one word, so the struct carries no padding
+	// holes between them (TestNodeSize pins the struct size).
+	hasToken bool // token possession
 	inCS     bool // granted to the local application
-	returnTo int  // decorated-token return address, or None
+	pending  bool // a local request is outstanding
+	// sawDemand feeds the adaptive speed: demand seen since the last
+	// idle hold.
+	sawDemand bool
+	// bootstrapped guards GiveToken: a node injects a token at most
+	// once, so a repeated bootstrap cannot duplicate it.
+	bootstrapped bool
+	// servedShared marks the served buffer as aliased by a message
+	// (frozen): mutation goes through ownServed's copy-on-write (see
+	// served.go).
+	servedShared bool
+
+	// Token possession.
+	returnTo int // decorated-token return address, or None
 	round    uint64
 	lastSeen uint64
 
 	// Local request.
-	pending bool
-	reqSeq  uint64
+	reqSeq uint64
 
 	// Trap table, FIFO: the live entries are traps[trapHead:], oldest
 	// first. Pops advance the head cursor instead of shifting, and trapAt
@@ -39,6 +52,11 @@ type Node struct {
 	traps    []trapEntry
 	trapHead int
 	trapAt   trapIndex
+	// trapBits is the served sweep's prefilter: one hashed bit per live
+	// trap requester (trapBit). It may keep bits of traps already gone,
+	// never lacks one of a live trap, so a record entry whose bit is clear
+	// cannot match and skips the trapAt lookup (see adoptServed).
+	trapBits uint64
 	// agedSeen is the lastSeen value ageTraps last swept at: no trap can
 	// expire until the token round advances, so sweeps in between are
 	// skipped.
@@ -49,16 +67,11 @@ type Node struct {
 	pushGen uint64
 
 	// Adaptive speed.
-	holdCur   Time
-	sawDemand bool
+	holdCur Time
 
 	// Directed search cursor.
 	probeWindow int
 	probePos    int
-
-	// bootstrapped guards GiveToken: a node injects a token at most
-	// once, so a repeated bootstrap cannot duplicate it.
-	bootstrapped bool
 
 	// Failure handling (§5): token epoch and in-progress recovery.
 	epoch    uint64
@@ -76,11 +89,8 @@ type Node struct {
 
 	// served is the rotation-GC satisfaction record riding on the token;
 	// curGrantSeq is the request sequence being served while in CS.
-	// servedShared marks the buffer as aliased by a message (frozen):
-	// mutation goes through ownServed's copy-on-write (see served.go).
-	served       []ServedRec
-	servedShared bool
-	curGrantSeq  uint64
+	served      []ServedRec
+	curGrantSeq uint64
 }
 
 // trapEntry is a stored token trap τ_requester. Ring positions are int32
@@ -111,6 +121,13 @@ type trapIndex struct {
 // denseTrapIndex is the largest ring size indexed with a dense array
 // (16 KiB per trap-bearing node).
 const denseTrapIndex = 4096
+
+// trapBit is requester's bit in the trapBits prefilter: the top six bits
+// of a Fibonacci hash, so requesters a power of two apart still land on
+// different bits.
+func trapBit(requester int) uint64 {
+	return 1 << (uint64(requester) * 0x9E3779B97F4A7C15 >> 58)
+}
 
 func (x *trapIndex) ready() bool { return x.dense != nil || x.sparse != nil }
 
@@ -353,14 +370,16 @@ func (n *Node) Release(now Time) Effects {
 // cannot steer traffic off the ring.
 func (n *Node) HandleMessage(now Time, m Message) Effects {
 	var e Effects
-	n.HandleMessageInto(now, m, &e)
+	n.HandleMessageInto(now, &m, &e)
 	return e
 }
 
 // HandleMessageInto is HandleMessage appending into a caller-owned Effects —
 // the allocation-free form hosts drive with a reset-and-reused scratch
-// buffer.
-func (n *Node) HandleMessageInto(now Time, m Message, e *Effects) {
+// buffer. The message is read in place, never retained or modified: a
+// simulated hop hands over the engine's delivery slot, a live one the
+// decoded envelope, and neither is copied on the way in.
+func (n *Node) HandleMessageInto(now Time, m *Message, e *Effects) {
 	if !n.validMessage(m) {
 		return
 	}
@@ -390,7 +409,7 @@ func (n *Node) HandleMessageInto(now Time, m Message, e *Effects) {
 
 // validMessage checks that every node reference in a message is on the
 // ring (ReturnTo may also be None).
-func (n *Node) validMessage(m Message) bool {
+func (n *Node) validMessage(m *Message) bool {
 	onRing := func(x int) bool { return x >= 0 && x < n.cfg.N }
 	if !onRing(m.From) || !onRing(m.To) {
 		return false
@@ -449,7 +468,7 @@ func (n *Node) HandleTimerInto(now Time, kind TimerKind, gen uint64, e *Effects)
 
 // handleToken receives the regular circulating token (rule 3), or a
 // decorated token coming home after use.
-func (n *Node) handleToken(now Time, m Message, e *Effects) {
+func (n *Node) handleToken(now Time, m *Message, e *Effects) {
 	if n.staleToken(m) {
 		return // a regenerated token superseded this one
 	}
@@ -565,7 +584,7 @@ func (n *Node) deliverNext(_ Time, e *Effects) bool {
 
 // handleTokenReturn receives a decorated token: either the final delivery
 // to the requester (rule 8) or an inverse-GC hop through the search trail.
-func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
+func (n *Node) handleTokenReturn(now Time, m *Message, e *Effects) {
 	if n.staleToken(m) {
 		return
 	}
@@ -594,11 +613,10 @@ func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
 			}
 			return
 		}
-		fwd := m
+		fwd := e.forward(m)
 		fwd.From = n.id
 		fwd.To = next
-		fwd.Hops = m.Hops + 1
-		e.send(fwd)
+		fwd.Hops++
 		return
 	}
 	// Delivery for me.
@@ -632,7 +650,7 @@ func (n *Node) handleTokenReturn(now Time, m Message, e *Effects) {
 // addressee departed the view while the message was in flight: a departed
 // member can neither use a grant nor accept a return, so the token rejoins
 // the rotation here instead of being posted into a black hole and lost.
-func (n *Node) adoptOrphanToken(now Time, m Message, e *Effects) {
+func (n *Node) adoptOrphanToken(now Time, m *Message, e *Effects) {
 	n.hasToken = true
 	n.returnTo = None
 	n.round = m.Round
@@ -662,6 +680,7 @@ func (n *Node) addTrap(requester int, reqSeq uint64, from int, stamp uint64) boo
 		n.trapAt.init(n.cfg.N)
 	}
 	n.trapAt.set(requester, len(n.traps))
+	n.trapBits |= trapBit(requester)
 	n.traps = append(n.traps, trapEntry{
 		requester: int32(requester),
 		reqSeq:    reqSeq,
@@ -692,6 +711,7 @@ func (n *Node) popTrap() (trapEntry, bool) {
 		if n.trapHead == len(n.traps) {
 			n.traps = n.traps[:0]
 			n.trapHead = 0
+			n.trapBits = 0
 		}
 		if n.cfg.TrapGC == GCRotation && n.isServed(tr) {
 			continue
@@ -759,7 +779,8 @@ func (n *Node) ageTraps() {
 }
 
 // sweepTraps compacts the live trap range down to the entries keep accepts,
-// preserving FIFO order, and rebuilds the requester index.
+// preserving FIFO order, and rebuilds the requester index and the trapBits
+// prefilter.
 func (n *Node) sweepTraps(keep func(trapEntry) bool) {
 	live := n.traps[:0]
 	for _, tr := range n.traps[n.trapHead:] {
@@ -771,7 +792,9 @@ func (n *Node) sweepTraps(keep func(trapEntry) bool) {
 	}
 	n.traps = live
 	n.trapHead = 0
+	n.trapBits = 0
 	for i := range n.traps {
 		n.trapAt.set(int(n.traps[i].requester), i)
+		n.trapBits |= trapBit(int(n.traps[i].requester))
 	}
 }

@@ -285,6 +285,15 @@ func (e *Effects) Reset() {
 
 func (e *Effects) send(m Message) { e.Msgs = append(e.Msgs, m) }
 
+// forward appends a copy of m to the outgoing messages and returns it for
+// editing in place: a forwarding hop rewrites a few header fields of an
+// otherwise unchanged message, so the message is copied once, straight
+// into the effects buffer.
+func (e *Effects) forward(m *Message) *Message {
+	e.Msgs = append(e.Msgs, *m)
+	return &e.Msgs[len(e.Msgs)-1]
+}
+
 func (e *Effects) arm(delay Time, kind TimerKind, gen uint64) {
 	e.Timers = append(e.Timers, Timer{Delay: delay, Kind: kind, Gen: gen})
 }

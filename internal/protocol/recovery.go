@@ -78,7 +78,7 @@ func (n *Node) handleRecoveryTimer(now Time, gen uint64, e *Effects) {
 }
 
 // handleRecoveryProbe answers with this node's view of the token.
-func (n *Node) handleRecoveryProbe(_ Time, m Message, e *Effects) {
+func (n *Node) handleRecoveryProbe(_ Time, m *Message, e *Effects) {
 	n.adoptEpoch(m.Epoch)
 	e.send(Message{
 		Kind:     MsgRecoveryReply,
@@ -91,7 +91,7 @@ func (n *Node) handleRecoveryProbe(_ Time, m Message, e *Effects) {
 }
 
 // handleRecoveryReply accumulates probe answers.
-func (n *Node) handleRecoveryReply(_ Time, m Message, _ *Effects) {
+func (n *Node) handleRecoveryReply(_ Time, m *Message, _ *Effects) {
 	n.adoptEpoch(m.Epoch)
 	if !n.recovery.active {
 		return
@@ -146,7 +146,7 @@ func (n *Node) handleRecoveryDecide(now Time, gen uint64, e *Effects) {
 // bumps the epoch past the election's evidence, so every duplicate elect
 // from the same failure (or from a decider that raced a live token) is
 // discarded as stale.
-func (n *Node) handleElect(now Time, m Message, e *Effects) {
+func (n *Node) handleElect(now Time, m *Message, e *Effects) {
 	if n.hasToken || m.Epoch < n.epoch {
 		return
 	}
@@ -180,7 +180,7 @@ func (n *Node) adoptEpoch(epoch uint64) {
 
 // staleToken reports (and absorbs) a token message from an obsolete epoch:
 // a regenerated token has superseded it, so it must be discarded on sight.
-func (n *Node) staleToken(m Message) bool {
+func (n *Node) staleToken(m *Message) bool {
 	if m.Epoch < n.epoch {
 		return true
 	}

@@ -54,7 +54,7 @@ func (n *Node) issueSearch(_ Time, e *Effects) {
 }
 
 // handleSearch processes a gimme message (rules 6 and 7).
-func (n *Node) handleSearch(now Time, m Message, e *Effects) {
+func (n *Node) handleSearch(now Time, m *Message, e *Effects) {
 	n.sawDemand = true
 	n.addTrap(m.Requester, m.ReqSeq, m.From, m.OriginStamp)
 	if n.hasToken {
@@ -69,7 +69,7 @@ func (n *Node) handleSearch(now Time, m Message, e *Effects) {
 }
 
 // forwardSearch continues the hunt from a non-holder.
-func (n *Node) forwardSearch(m Message, e *Effects) {
+func (n *Node) forwardSearch(m *Message, e *Effects) {
 	switch n.cfg.Variant {
 	case LinearSearch:
 		if m.Window <= 1 {
@@ -79,12 +79,11 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 		if next == m.Requester {
 			return
 		}
-		fwd := m
+		fwd := e.forward(m)
 		fwd.From = n.id
 		fwd.To = next
-		fwd.Window = m.Window - 1
-		fwd.Hops = m.Hops + 1
-		e.send(fwd)
+		fwd.Window--
+		fwd.Hops++
 	case BinarySearch, Combined:
 		if m.Window < 2 {
 			return // window exhausted: the trap alone remains
@@ -97,12 +96,11 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 			// me — chase it the other way (rule 6's x^{-n/2}).
 			dest = n.succLive(n.id, -hop)
 		}
-		fwd := m
+		fwd := e.forward(m)
 		fwd.From = n.id
 		fwd.To = dest
 		fwd.Window = hop
-		fwd.Hops = m.Hops + 1
-		e.send(fwd)
+		fwd.Hops++
 	default:
 		// Ring/push have no searches; directed probes never forward.
 	}
@@ -110,7 +108,7 @@ func (n *Node) forwardSearch(m Message, e *Effects) {
 
 // handleProbe answers a directed-search probe. The probed node also sets a
 // trap so the rotating token still catches the request.
-func (n *Node) handleProbe(now Time, m Message, e *Effects) {
+func (n *Node) handleProbe(now Time, m *Message, e *Effects) {
 	n.sawDemand = true
 	n.addTrap(m.Requester, m.ReqSeq, m.From, m.OriginStamp)
 	if n.hasToken {
@@ -133,7 +131,7 @@ func (n *Node) handleProbe(now Time, m Message, e *Effects) {
 
 // handleProbeReply steers the requester's next probe (directed search: the
 // §4.4 variant that doubles messages but lets the requester stop early).
-func (n *Node) handleProbeReply(_ Time, m Message, e *Effects) {
+func (n *Node) handleProbeReply(_ Time, m *Message, e *Effects) {
 	if !n.pending || m.ReqSeq != n.reqSeq || m.HasToken {
 		return // served, stale, or the token is on its way
 	}
@@ -184,7 +182,7 @@ func (n *Node) startPushRound(_ Time, e *Effects) {
 }
 
 // handleWantQuery answers a push probe.
-func (n *Node) handleWantQuery(_ Time, m Message, e *Effects) {
+func (n *Node) handleWantQuery(_ Time, m *Message, e *Effects) {
 	e.send(Message{
 		Kind: MsgWantReply, From: n.id, To: m.From,
 		Requester: n.id, ReqSeq: n.reqSeq,
@@ -194,7 +192,7 @@ func (n *Node) handleWantQuery(_ Time, m Message, e *Effects) {
 
 // handleWantReply traps a willing node and, if the token is still here and
 // idle, delivers at once.
-func (n *Node) handleWantReply(now Time, m Message, e *Effects) {
+func (n *Node) handleWantReply(now Time, m *Message, e *Effects) {
 	if !m.Want {
 		return
 	}

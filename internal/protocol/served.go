@@ -65,7 +65,12 @@ func (n *Node) recordServed(requester int, reqSeq uint64) {
 // traps. The sweep is driven by the record, not the trap table: each rec
 // looks its requester up in the O(1) trap index, so a hop with nothing to
 // drop costs O(len(recs)) instead of O(traps × recs) — the old nested scan
-// was ~20% of fig9 CPU post-PR-6 (see DESIGN.md §12).
+// was ~20% of fig9 CPU post-PR-6. The trapBits prefilter runs first: a rec
+// whose bit is clear has no live trap, so only possible matches pay for
+// the index lookup, a map access on rings above denseTrapIndex. Because
+// the word only ever over-approximates the live traps, the same traps
+// drop, in the same order, as without it (see DESIGN.md §10, "Follow-up:
+// the O(1) trap path").
 func (n *Node) adoptServed(recs []ServedRec) {
 	if n.cfg.TrapGC != GCRotation {
 		return
@@ -76,7 +81,11 @@ func (n *Node) adoptServed(recs []ServedRec) {
 		return
 	}
 	dropped := false
+	bits := n.trapBits // the loop below never changes it
 	for _, rec := range recs {
+		if bits&trapBit(rec.Requester) == 0 {
+			continue
+		}
 		if i, ok := n.trapAt.get(rec.Requester); ok && rec.ReqSeq >= n.traps[i].reqSeq {
 			n.traps[i].requester = trapServed
 			n.trapAt.del(rec.Requester)

@@ -47,8 +47,10 @@ type Time int64
 // AtTimer/AfterTimer. The effects interpreter of internal/host implements
 // it; tests may substitute their own.
 type Handler interface {
-	// Arrive processes one delivered message.
-	Arrive(m protocol.Message)
+	// Arrive processes one delivered message. m points at the engine's
+	// current-delivery record: it is valid only until Arrive returns, so
+	// a handler copies whatever it keeps.
+	Arrive(m *protocol.Message)
 	// FireTimer fires one armed timer at node.
 	FireTimer(node int, tm protocol.Timer)
 }
@@ -147,8 +149,12 @@ type Engine struct {
 	wheelLen  int         // pending events linked into buckets
 	overflow  []heapEntry // 4-ary min-heap of events at >= now+wheelSize
 
-	recs    []eventRec // payload slab, indexed by heapEntry.idx / chain links
-	free    []int32    // recycled slab slots
+	recs []eventRec // payload slab, indexed by heapEntry.idx / chain links
+	free []int32    // recycled slab slots
+	// cur is the message being delivered: dispatch moves it out of its
+	// slab slot, which is recycled before the handler runs, and hands the
+	// handler a pointer to it.
+	cur     protocol.Message
 	seq     uint64
 	rng     *RNG
 	events  int
@@ -257,8 +263,10 @@ func (e *Engine) After(d Time, fn func()) {
 	_ = e.At(e.now+d, fn)
 }
 
-// AtMessage schedules delivery of m at absolute time t via the handler.
-func (e *Engine) AtMessage(t Time, m protocol.Message) error {
+// AtMessage schedules delivery of a copy of *m at absolute time t via the
+// handler; the copy in the slab slot is the only one the engine makes
+// until dispatch.
+func (e *Engine) AtMessage(t Time, m *protocol.Message) error {
 	if t < e.now {
 		return ErrPastEvent
 	}
@@ -267,14 +275,14 @@ func (e *Engine) AtMessage(t Time, m protocol.Message) error {
 	}
 	idx, rec := e.alloc()
 	rec.op = opMessage
-	rec.msg = m
+	rec.msg = *m
 	e.schedule(t, idx)
 	return nil
 }
 
-// AfterMessage schedules delivery of m after d time units. Negative delays
-// are clamped to zero.
-func (e *Engine) AfterMessage(d Time, m protocol.Message) {
+// AfterMessage schedules delivery of a copy of *m after d time units.
+// Negative delays are clamped to zero.
+func (e *Engine) AfterMessage(d Time, m *protocol.Message) {
 	if d < 0 {
 		d = 0
 	}
@@ -307,27 +315,32 @@ func (e *Engine) AfterTimer(d Time, node int, tm protocol.Timer) {
 	_ = e.AtTimer(e.now+d, node, tm)
 }
 
-// dispatch copies the payload out of slab slot idx, recycles the slot, and
-// runs the event. The copy-then-recycle order matters: the callback may
-// schedule (growing the slab would invalidate a pointer), and clearing the
-// reference-bearing fields keeps recycled slots from retaining messages or
-// closures.
+// dispatch moves the payload out of slab slot idx, recycles the slot, and
+// runs the event. Only the payload the event needs leaves the slot: a
+// closure or a timer record into locals, a message into the engine-owned
+// cur field, whose address the handler receives — the one copy of the
+// message between scheduling and its handler. The move-then-recycle order
+// matters: the callback may schedule (growing the slab would invalidate a
+// pointer into it, and the freed slot may be reused at once), and clearing
+// the reference-bearing fields keeps recycled slots from retaining
+// messages or closures.
 func (e *Engine) dispatch(idx int32) {
-	rec := e.recs[idx]
 	slot := &e.recs[idx]
-	slot.fn = nil
-	slot.msg.Attach = ""
-	slot.msg.Served = nil
 	slot.next = 0
 	e.free = append(e.free, idx)
 	e.events++
-	switch rec.op {
+	switch slot.op {
 	case opFunc:
-		rec.fn()
+		fn := slot.fn
+		slot.fn = nil
+		fn()
 	case opMessage:
-		e.handler.Arrive(rec.msg)
+		e.cur = slot.msg
+		slot.msg.Attach = ""
+		slot.msg.Served = nil
+		e.handler.Arrive(&e.cur)
 	case opTimer:
-		e.handler.FireTimer(int(rec.node), rec.tm)
+		e.handler.FireTimer(int(slot.node), slot.tm)
 	}
 }
 

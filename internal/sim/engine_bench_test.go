@@ -10,7 +10,7 @@ import (
 // engine's own costs.
 type nullHandler struct{ msgs, timers int }
 
-func (h *nullHandler) Arrive(protocol.Message)       { h.msgs++ }
+func (h *nullHandler) Arrive(*protocol.Message)      { h.msgs++ }
 func (h *nullHandler) FireTimer(int, protocol.Timer) { h.timers++ }
 
 // BenchmarkEngineMessageEvent measures one schedule+dispatch cycle of a
@@ -22,13 +22,13 @@ func BenchmarkEngineMessageEvent(b *testing.B) {
 	e.SetHandler(h)
 	m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1, Round: 3}
 	for i := 0; i < 64; i++ {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 	}
 	e.Drain(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 		e.Step()
 	}
 }
@@ -77,12 +77,12 @@ func BenchmarkEngineUnitDelay(b *testing.B) {
 			e.SetHandler(h)
 			m := protocol.Message{Kind: protocol.MsgToken, From: 0, To: 1}
 			for i := 0; i < 1024; i++ {
-				e.AfterMessage(1, m)
+				e.AfterMessage(1, &m)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.AfterMessage(1, m)
+				e.AfterMessage(1, &m)
 				e.Step()
 			}
 		})
@@ -104,7 +104,7 @@ func BenchmarkEngineSameTimestampBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < batch; j++ {
-					e.AfterMessage(1, m)
+					e.AfterMessage(1, &m)
 				}
 				e.RunUntil(e.Now() + 1)
 			}
@@ -121,12 +121,12 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	e.SetHandler(h)
 	m := protocol.Message{Kind: protocol.MsgSearch}
 	for i := 0; i < 1024; i++ {
-		e.AfterMessage(Time(e.RNG().Intn(1000)+1), m)
+		e.AfterMessage(Time(e.RNG().Intn(1000)+1), &m)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.AfterMessage(Time(e.RNG().Intn(1000)+1), m)
+		e.AfterMessage(Time(e.RNG().Intn(1000)+1), &m)
 		e.Step()
 	}
 }

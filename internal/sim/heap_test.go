@@ -16,7 +16,7 @@ type recordingHandler struct {
 	}
 }
 
-func (h *recordingHandler) Arrive(m protocol.Message) { h.msgs = append(h.msgs, m) }
+func (h *recordingHandler) Arrive(m *protocol.Message) { h.msgs = append(h.msgs, *m) }
 func (h *recordingHandler) FireTimer(node int, tm protocol.Timer) {
 	h.timers = append(h.timers, struct {
 		node int
@@ -35,9 +35,9 @@ func TestTypedEventsEqualTimeFIFO(t *testing.T) {
 	var order []int
 	// Interleave the three event kinds at the same timestamp.
 	_ = e.At(5, func() { order = append(order, 0) })
-	_ = e.AtMessage(5, protocol.Message{Kind: protocol.MsgToken, From: 1, To: 2})
+	_ = e.AtMessage(5, &protocol.Message{Kind: protocol.MsgToken, From: 1, To: 2})
 	_ = e.AtTimer(5, 3, protocol.Timer{Kind: protocol.TimerHold, Gen: 7})
-	_ = e.AtMessage(5, protocol.Message{Kind: protocol.MsgSearch, From: 4, To: 5})
+	_ = e.AtMessage(5, &protocol.Message{Kind: protocol.MsgSearch, From: 4, To: 5})
 	_ = e.At(5, func() { order = append(order, 1) })
 
 	e.Drain(100)
@@ -63,7 +63,7 @@ func TestSlabSlotsClearedOnRecycle(t *testing.T) {
 	h := &recordingHandler{}
 	e.SetHandler(h)
 
-	_ = e.AtMessage(1, protocol.Message{
+	_ = e.AtMessage(1, &protocol.Message{
 		Kind:   protocol.MsgToken,
 		Attach: "attachment",
 		Served: []protocol.ServedRec{{Requester: 1, ReqSeq: 2}},
@@ -96,14 +96,14 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 
 	// Warm the slab, heap and handler slices.
 	for i := 0; i < 64; i++ {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 		e.AfterTimer(1, 0, tm)
 	}
 	e.Drain(1 << 20)
 	h.msgs, h.timers = h.msgs[:0], h.timers[:0]
 
 	allocs := testing.AllocsPerRun(200, func() {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 		e.AfterTimer(2, 0, tm)
 		e.Drain(2)
 		h.msgs, h.timers = h.msgs[:0], h.timers[:0]
@@ -141,7 +141,7 @@ func FuzzEventHeap(f *testing.F) {
 			// Schedule a message at now + small offset; encode the
 			// reference identity in the Hops field.
 			at := e.Now() + Time(b%7)
-			_ = e.AtMessage(at, protocol.Message{Kind: protocol.MsgToken, Hops: next})
+			_ = e.AtMessage(at, &protocol.Message{Kind: protocol.MsgToken, Hops: next})
 			want = append(want, ref{at: at, seq: next})
 			next++
 		}

@@ -14,11 +14,11 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	h := &recordingHandler{}
 	e.SetHandler(h)
 
-	_ = e.AtMessage(wheelSize-1, protocol.Message{Kind: protocol.MsgToken, Hops: 0})
+	_ = e.AtMessage(wheelSize-1, &protocol.Message{Kind: protocol.MsgToken, Hops: 0})
 	if e.wheelLen != 1 || len(e.overflow) != 0 {
 		t.Fatalf("t=wheelSize-1: wheelLen=%d overflow=%d, want wheel", e.wheelLen, len(e.overflow))
 	}
-	_ = e.AtMessage(wheelSize, protocol.Message{Kind: protocol.MsgToken, Hops: 1})
+	_ = e.AtMessage(wheelSize, &protocol.Message{Kind: protocol.MsgToken, Hops: 1})
 	if e.wheelLen != 1 || len(e.overflow) != 1 {
 		t.Fatalf("t=wheelSize: wheelLen=%d overflow=%d, want overflow", e.wheelLen, len(e.overflow))
 	}
@@ -48,7 +48,7 @@ func TestWheelCascadeFIFOOrder(t *testing.T) {
 	const target = wheelSize + 10
 
 	// A is beyond the horizon of now=0, so it waits in overflow.
-	_ = e.AtMessage(target, protocol.Message{Kind: protocol.MsgToken, Hops: 0})
+	_ = e.AtMessage(target, &protocol.Message{Kind: protocol.MsgToken, Hops: 0})
 	if len(e.overflow) != 1 {
 		t.Fatalf("overflow=%d, want 1", len(e.overflow))
 	}
@@ -62,7 +62,7 @@ func TestWheelCascadeFIFOOrder(t *testing.T) {
 	}
 
 	// B shares A's timestamp but is a direct bucket append with a larger seq.
-	_ = e.AtMessage(target, protocol.Message{Kind: protocol.MsgToken, Hops: 1})
+	_ = e.AtMessage(target, &protocol.Message{Kind: protocol.MsgToken, Hops: 1})
 
 	e.Drain(10)
 	if len(h.msgs) != 2 || h.msgs[0].Hops != 0 || h.msgs[1].Hops != 1 {
@@ -80,7 +80,7 @@ func TestWheelFarFutureJump(t *testing.T) {
 	// Three events, each several horizons out, scheduled out of time order.
 	times := []Time{5 * wheelSize, 3*wheelSize + 1, 9*wheelSize + 7}
 	for i, at := range times {
-		_ = e.AtMessage(at, protocol.Message{Kind: protocol.MsgToken, Hops: i})
+		_ = e.AtMessage(at, &protocol.Message{Kind: protocol.MsgToken, Hops: i})
 	}
 	e.Drain(10)
 
@@ -143,14 +143,14 @@ func TestEngineSteadyStateAllocFreeHeap(t *testing.T) {
 	tm := protocol.Timer{Kind: protocol.TimerHold, Gen: 1}
 
 	for i := 0; i < 64; i++ {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 		e.AfterTimer(1, 0, tm)
 	}
 	e.Drain(1 << 20)
 	h.msgs, h.timers = h.msgs[:0], h.timers[:0]
 
 	allocs := testing.AllocsPerRun(200, func() {
-		e.AfterMessage(1, m)
+		e.AfterMessage(1, &m)
 		e.AfterTimer(2, 0, tm)
 		e.Drain(2)
 		h.msgs, h.timers = h.msgs[:0], h.timers[:0]
@@ -208,7 +208,7 @@ func FuzzTimingWheel(f *testing.F) {
 						off = wheelSize - 2 + Time(int(c)%5)
 					}
 					at := e.Now() + off
-					_ = e.AtMessage(at, protocol.Message{Kind: protocol.MsgToken, Hops: next})
+					_ = e.AtMessage(at, &protocol.Message{Kind: protocol.MsgToken, Hops: next})
 					want = append(want, ref{at: at, seq: next})
 					next++
 				}

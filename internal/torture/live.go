@@ -21,6 +21,31 @@ const liveUnit = 200 * time.Microsecond
 // liveAcquireTimeout bounds one acquire; hitting it is a liveness failure.
 const liveAcquireTimeout = 30 * time.Second
 
+// inFlight counts the protocol message copies sent but not yet delivered
+// across a live cluster. It observes every host through one SyncObserver:
+// a step adds the messages it is about to dispatch and, for a delivery,
+// retires the copy that arrived — in one observer call, so the count never
+// reads zero while a delivery's follow-up messages are still to be sent —
+// and drop/duplicate faults retire or add a copy. Jitter only postpones a
+// copy, which stays counted until it arrives.
+type inFlight struct{ n int }
+
+func (f *inFlight) OnStep(s host.Step) {
+	if s.Kind == host.StepDeliver {
+		f.n--
+	}
+	f.n += len(s.Effects.Msgs)
+}
+
+func (f *inFlight) OnFault(e host.FaultEvent) {
+	switch e.Kind {
+	case host.FaultDrop:
+		f.n--
+	case host.FaultDup:
+		f.n++
+	}
+}
+
 // liveConfigFor builds the protocol configuration a live scenario runs
 // under: LinearSearch with the token parked (an effectively infinite idle
 // hold), so all token movement is driven by the scenario's sequential
@@ -76,6 +101,7 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 	}
 	shared := faults.Share(inj)
 
+	flight := &inFlight{}
 	var chk *conformance.Checker
 	var obs *host.SyncObserver
 	if mix.Conformance {
@@ -84,7 +110,9 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 			rep.Err = err
 			return rep
 		}
-		obs = host.NewSyncObserver(chk)
+		obs = host.NewSyncObserver(host.Tee(flight, chk))
+	} else {
+		obs = host.NewSyncObserver(flight)
 	}
 
 	cn, err := transport.NewChannelNetwork(sc.N)
@@ -108,11 +136,8 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 			rep.Err = perr
 			return rep
 		}
-		ropts := []node.Option{node.WithFaults(shared)}
-		if obs != nil {
-			ropts = append(ropts, node.WithObserver(obs))
-		}
-		rt, rerr := node.NewRuntime(p, cn.Endpoint(i), liveUnit, ropts...)
+		rt, rerr := node.NewRuntime(p, cn.Endpoint(i), liveUnit,
+			node.WithFaults(shared), node.WithObserver(obs))
 		if rerr != nil {
 			stop()
 			rep.Err = rerr
@@ -133,9 +158,34 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 		return cerr
 	}
 
-	// Sequential round-robin acquires: exactly one outstanding request at
-	// all times, so the run is one causal chain and every injector draw
-	// lands on a deterministic dispatch sequence number.
+	// quiesce blocks until no message copy is in flight. A release hands
+	// the token back while the next acquire is issued, and an acquire that
+	// races a token still on its way searches for it; that orphan search
+	// keeps travelling after the grant and interleaves with the next
+	// request's messages in wall-clock order. Waiting out every copy
+	// between requests keeps the run one causal chain.
+	quiesce := func() error {
+		deadline := time.Now().Add(liveAcquireTimeout)
+		for {
+			var n int
+			obs.Sync(func() { n = flight.n })
+			if n == 0 {
+				return nil
+			}
+			if cerr := checkerErr(); cerr != nil {
+				return fmt.Errorf("torture: conformance: %w", cerr)
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("torture: live: %d message copies still in flight after %s", n, liveAcquireTimeout)
+			}
+			time.Sleep(liveUnit)
+		}
+	}
+
+	// Sequential round-robin acquires on a quiescent cluster: exactly one
+	// outstanding request and no stray message at all times, so the run is
+	// one causal chain and every injector draw lands on a deterministic
+	// dispatch sequence number.
 	werr := func() error {
 		for k := 0; k < sc.Requests; k++ {
 			id := int((sc.Seed + uint64(k)) % uint64(sc.N))
@@ -151,6 +201,9 @@ func runLive(sc Scenario, mix Mix, replay *faults.Schedule) Report {
 			// duplicated token) the execution is no longer a single chain.
 			if cerr := checkerErr(); cerr != nil {
 				return fmt.Errorf("torture: conformance: %w", cerr)
+			}
+			if qerr := quiesce(); qerr != nil {
+				return qerr
 			}
 		}
 		return nil
